@@ -1,0 +1,1 @@
+"""The benchmark: ``python3 perfbench/run.py --help``; see README.md."""
